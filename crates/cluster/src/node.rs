@@ -22,7 +22,7 @@
 //! report the local queue depth. That keeps the dependency arrow
 //! pointing one way (serve → cluster) with no circular knowledge.
 
-use crate::proto::{self, read_frame, write_frame};
+use crate::proto::{self, read_frame, write_rendered_frame};
 use crate::ring::{Ring, DEFAULT_VNODES};
 use hetmem_sim::SimError;
 use hetmem_xplore::json::Json;
@@ -877,24 +877,31 @@ impl ClusterNode {
             return;
         };
         let reply = match request.get("kind").and_then(Json::as_str) {
-            Some("hello") => self.on_hello(&request),
-            Some("heartbeat") => self.on_heartbeat(&request),
-            Some("execute") => self.on_execute(&request),
+            // Rendered by the handler itself, which must size the frame.
             Some("sweep_part") => self.on_sweep_part(&request),
+            _ => self.reply_to(&request).render(),
+        };
+        let _ = write_rendered_frame(&mut conn, &reply);
+    }
+
+    fn reply_to(&self, request: &Json) -> Json {
+        match request.get("kind").and_then(Json::as_str) {
+            Some("hello") => self.on_hello(request),
+            Some("heartbeat") => self.on_heartbeat(request),
+            Some("execute") => self.on_execute(request),
             Some("peers") => Json::obj(vec![
                 ("kind", Json::Str("peers".to_owned())),
                 ("vnodes", Json::UInt(self.cfg.vnodes as u64)),
                 ("peers", self.peer_list()),
             ]),
-            Some("replicate") => self.on_replicate(&request),
+            Some("replicate") => self.on_replicate(request),
             Some("metrics") => Json::obj(vec![
                 ("kind", Json::Str("metrics".to_owned())),
                 ("body", (self.hooks.metrics)()),
             ]),
-            Some("leave") => self.on_leave(&request),
+            Some("leave") => self.on_leave(request),
             _ => error_frame("unknown frame kind"),
-        };
-        let _ = write_frame(&mut conn, &reply);
+        }
     }
 
     /// Join handshake: probe the joiner's HTTP health endpoint, then
@@ -993,21 +1000,25 @@ impl ClusterNode {
     /// and frame the records back. Busy/draining/failed map to the
     /// existing frame vocabulary — the entry node's engine reacts to
     /// all of them the same way, by running the part locally.
-    fn on_sweep_part(&self, request: &Json) -> Json {
+    ///
+    /// Returns the reply already rendered: a result is rendered once, both
+    /// to check it against the frame cap and to be written.
+    fn on_sweep_part(&self, request: &Json) -> String {
         self.sweep_parts_in.fetch_add(1, Ordering::Relaxed);
         let body = request.get("body").and_then(Json::as_str).unwrap_or("");
-        match (self.hooks.executor)("/v1/sweep-part", body) {
+        let reply = match (self.hooks.executor)("/v1/sweep-part", body) {
             ExecReply::Body(body) => {
                 let reply = Json::obj(vec![
                     ("kind", Json::Str("sweep_part_result".to_owned())),
                     ("body", Json::Str(body)),
-                ]);
+                ])
+                .render();
                 // JSON escaping can inflate the body, so bound the
                 // exact rendered frame, not the payload estimate.
-                if reply.render().len() > proto::MAX_FRAME_BYTES {
-                    return error_frame("sweep part result exceeds the frame cap");
+                if reply.len() > proto::MAX_FRAME_BYTES {
+                    return error_frame("sweep part result exceeds the frame cap").render();
                 }
-                reply
+                return reply;
             }
             ExecReply::Busy => Json::obj(vec![("kind", Json::Str("busy".to_owned()))]),
             ExecReply::Draining => Json::obj(vec![("kind", Json::Str("draining".to_owned()))]),
@@ -1016,7 +1027,8 @@ impl ClusterNode {
                 ("waited_ms", Json::UInt(waited_ms)),
             ]),
             ExecReply::Failed(message) => error_frame(&message),
-        }
+        };
+        reply.render()
     }
 
     fn on_replicate(&self, request: &Json) -> Json {
@@ -1272,6 +1284,57 @@ mod tests {
         // b never owned the key, so its own accesses do not replicate.
         b.shutdown();
         a.shutdown();
+    }
+
+    #[test]
+    fn sweep_part_result_over_the_frame_cap_becomes_an_error_frame() {
+        // `ExecReply::Body` carries whatever the executor produced; a body
+        // one byte over the cap cannot fit once framed.
+        let oversized = Hooks {
+            executor: Arc::new(|_, _| ExecReply::Body("x".repeat(proto::MAX_FRAME_BYTES + 1))),
+            ..hooks("a", Arc::new(AtomicU64::new(0)))
+        };
+        let node = ClusterNode::start(
+            ClusterConfig {
+                http_addr: health_stub(),
+                ..ClusterConfig::default()
+            },
+            oversized,
+        )
+        .expect("start");
+        let request = Json::obj(vec![
+            ("kind", Json::Str("sweep_part".to_owned())),
+            ("body", Json::Str("part".to_owned())),
+        ]);
+        let reply = hetmem_xplore::json::parse(&node.on_sweep_part(&request)).expect("json");
+        assert_eq!(reply.get("kind").and_then(Json::as_str), Some("error"));
+        assert!(reply
+            .get("message")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("frame cap")));
+        node.shutdown();
+
+        // Under the cap, the rendered reply is the result frame itself.
+        let node = ClusterNode::start(
+            ClusterConfig {
+                http_addr: health_stub(),
+                ..ClusterConfig::default()
+            },
+            hooks("a", Arc::new(AtomicU64::new(0))),
+        )
+        .expect("start");
+        let rendered = node.on_sweep_part(&request);
+        let reply = hetmem_xplore::json::parse(&rendered).expect("json");
+        assert_eq!(
+            reply.get("kind").and_then(Json::as_str),
+            Some("sweep_part_result")
+        );
+        assert_eq!(
+            reply.get("body").and_then(Json::as_str),
+            Some("a:/v1/sweep-part:part")
+        );
+        assert_eq!(rendered, reply.render(), "rendered exactly once, as framed");
+        node.shutdown();
     }
 
     #[test]

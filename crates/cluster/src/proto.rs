@@ -36,7 +36,17 @@ pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 /// Returns an error when the value renders larger than
 /// [`MAX_FRAME_BYTES`] or the socket write fails.
 pub fn write_frame(stream: &mut TcpStream, value: &Json) -> std::io::Result<()> {
-    let body = value.render();
+    write_rendered_frame(stream, &value.render())
+}
+
+/// [`write_frame`] for a payload already rendered to JSON text — for
+/// replies whose size was checked against the cap when they were built.
+///
+/// # Errors
+///
+/// Returns an error when `body` is larger than [`MAX_FRAME_BYTES`] or the
+/// socket write fails.
+pub fn write_rendered_frame(stream: &mut TcpStream, body: &str) -> std::io::Result<()> {
     if body.len() > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,

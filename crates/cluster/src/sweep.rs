@@ -28,7 +28,7 @@ use hetmem_sim::SimError;
 use hetmem_xplore::dispatch::{encode_part, parse_part_records, wire_config_tag};
 use hetmem_xplore::json::Json;
 use hetmem_xplore::ser::SweepRecord;
-use hetmem_xplore::{content_key_with, DispatchContext, Job, JobDispatcher, JobPart};
+use hetmem_xplore::{ContentKeys, DispatchContext, Job, JobDispatcher, JobPart};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -67,10 +67,11 @@ fn ring_parts(
     } else {
         MAX_PART_JOBS
     };
+    let keys = ContentKeys::new(ctx.config, ctx.timeline_interval, ctx.mode);
     let mut owners: Vec<String> = Vec::new();
     let mut shares: Vec<Vec<usize>> = Vec::new();
     for (index, job) in jobs.iter().enumerate() {
-        let key = content_key_with(job, ctx.config, ctx.timeline_interval, ctx.mode);
+        let key = keys.key(job);
         let Some(owner) = ring.owner(&key) else {
             continue;
         };

@@ -101,6 +101,8 @@ struct State {
     /// concurrent parts the node answers Busy and the entry node runs
     /// the partition itself.
     parts_active: AtomicUsize,
+    /// Connection handler threads the accept loop has not joined yet.
+    handlers_retained: AtomicUsize,
 }
 
 impl State {
@@ -675,7 +677,11 @@ fn submit_async(
                     }
                 })
                 .expect("spawn waiter");
-            state.waiters.lock().expect("waiters lock").push(waiter);
+            // Same as connection handlers: release finished waiters' stacks.
+            let mut waiters = state.waiters.lock().expect("waiters lock");
+            join_finished(&mut waiters);
+            waiters.push(waiter);
+            drop(waiters);
             Response::json(
                 202,
                 format!(
@@ -741,6 +747,7 @@ impl Server {
             waiters: Mutex::new(Vec::new()),
             cluster: OnceLock::new(),
             parts_active: AtomicUsize::new(0),
+            handlers_retained: AtomicUsize::new(0),
         });
         let accept_state = Arc::clone(&state);
         let accept = std::thread::Builder::new()
@@ -815,16 +822,20 @@ fn accept_loop(listener: &TcpListener, state: &Arc<State>) {
         let Ok((stream, _)) = listener.accept() else {
             break;
         };
-        if state.draining.load(Ordering::SeqCst) {
-            // The wake-up connection (or a late client): answer nothing
-            // job-shaped; handle it so a late client still gets a 503,
-            // then stop accepting.
-            let conn_state = Arc::clone(state);
-            handlers.push(spawn_handler(stream, conn_state));
-            break;
-        }
+        // An exited thread keeps its stack mapped until it is joined:
+        // join every finished handler as new connections arrive, so a
+        // long-lived server holds only the connections still in flight.
+        join_finished(&mut handlers);
         let conn_state = Arc::clone(state);
         handlers.push(spawn_handler(stream, conn_state));
+        state
+            .handlers_retained
+            .store(handlers.len(), Ordering::Relaxed);
+        if state.draining.load(Ordering::SeqCst) {
+            // The wake-up connection (or a late client) is handled so a
+            // late client still gets a 503; then stop accepting.
+            break;
+        }
     }
     // Drain sequence: no new connections are accepted past this point.
     // 1. Every connection already accepted runs to completion (their
@@ -851,6 +862,17 @@ fn accept_loop(listener: &TcpListener, state: &Arc<State>) {
         state.metrics.queue_rejections.load(Ordering::Relaxed),
         state.metrics.deadline_timeouts.load(Ordering::Relaxed),
     );
+}
+
+fn join_finished(handlers: &mut Vec<std::thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handlers.len() {
+        if handlers[i].is_finished() {
+            let _ = handlers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
 }
 
 fn spawn_handler(mut stream: TcpStream, state: Arc<State>) -> std::thread::JoinHandle<()> {
@@ -915,6 +937,7 @@ mod tests {
             waiters: Mutex::new(Vec::new()),
             cluster: OnceLock::new(),
             parts_active: AtomicUsize::new(0),
+            handlers_retained: AtomicUsize::new(0),
         })
     }
 
@@ -926,6 +949,32 @@ mod tests {
             headers: Vec::new(),
             body: String::new(),
         }
+    }
+
+    #[test]
+    fn finished_connection_handlers_are_joined_as_new_ones_arrive() {
+        use std::io::{Read as _, Write as _};
+        let server = Server::start(&ServeOptions {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 1,
+            ..ServeOptions::default()
+        })
+        .expect("start");
+        const REQUESTS: usize = 64;
+        for _ in 0..REQUESTS {
+            let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+            conn.write_all(b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n")
+                .expect("send");
+            let mut reply = String::new();
+            conn.read_to_string(&mut reply).expect("reply");
+            assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        }
+        let retained = server.state.handlers_retained.load(Ordering::Relaxed);
+        // Sequential clients leave at most a handler or two still exiting
+        // when the next connection arrives; a leak would retain all 64.
+        assert!(retained <= REQUESTS / 8, "{retained} handlers retained");
+        server.shutdown();
+        server.wait();
     }
 
     #[test]

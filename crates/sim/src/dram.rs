@@ -118,6 +118,16 @@ impl Dram {
         self.stats = DramStats::default();
     }
 
+    /// The latest tick any bank or channel data bus is reserved until.
+    #[must_use]
+    pub fn horizon(&self) -> Tick {
+        self.channels
+            .iter()
+            .flat_map(|ch| ch.banks.iter().map(|b| b.free_at).chain([ch.bus_free_at]))
+            .max()
+            .unwrap_or(0)
+    }
+
     fn map(&self, addr: u64) -> (usize, usize, u64) {
         // Line-interleaved channels, bank bits above, row above that — the
         // classic scheme that spreads streams across channels and banks.
@@ -281,5 +291,23 @@ mod tests {
         d.request(0, 64, true);
         assert_eq!(d.stats().reads, 1);
         assert_eq!(d.stats().writes, 1);
+    }
+
+    #[test]
+    fn horizon_is_the_latest_reservation_on_any_bank_or_bus() {
+        let mut d = dram(DramPolicy::FrFcfs);
+        assert_eq!(d.horizon(), 0);
+        let late = d.request(10_000, 0, false);
+        // An earlier arrival on another channel finishes first: the
+        // horizon stays with the later reservation.
+        let early = d.request(0, 64, false);
+        assert!(early.done_at < late.done_at);
+        assert_eq!(d.horizon(), late.done_at);
+        // Queued behind a busy bank, a request extends the horizon.
+        let queued = d.request(10_000, 0, true);
+        assert!(queued.done_at > late.done_at);
+        assert_eq!(d.horizon(), queued.done_at);
+        d.reset();
+        assert_eq!(d.horizon(), 0);
     }
 }

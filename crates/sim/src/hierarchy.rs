@@ -140,6 +140,17 @@ impl MemoryHierarchy {
         self.prefetches = 0;
     }
 
+    /// The latest tick any time-stateful resource is reserved until: a
+    /// DRAM bank, a DRAM channel's data bus, or the NoC bus. Everything
+    /// else in the hierarchy (cache and directory contents, open rows, TLBs)
+    /// holds no time, so once `now` has passed the horizon the hierarchy
+    /// behaves the same whatever the absolute tick — the quiescence
+    /// condition behind [`crate::ComputeProfile::replay`].
+    #[must_use]
+    pub fn horizon(&self) -> Tick {
+        self.dram.horizon().max(self.ring.horizon())
+    }
+
     /// The LLC tile an address interleaves to.
     #[must_use]
     pub fn tile_of(&self, addr: u64) -> u32 {
@@ -645,6 +656,36 @@ mod tests {
             big_misses * 10 < small_misses,
             "2MB pages: {big_misses} misses vs 4KB pages: {small_misses}"
         );
+    }
+
+    #[test]
+    fn horizon_covers_dram_banks_bus_and_the_noc_bus() {
+        use crate::config::NocTopology;
+        let mut h = hier();
+        assert_eq!(h.horizon(), 0, "a power-on hierarchy reserves nothing");
+        // A DRAM fill holds its bank and its channel's data bus until the
+        // data arrives, which is exactly when the access completes.
+        let fill = h.access(PuKind::Cpu, 0x1000_0000, false, 1_000);
+        assert_eq!(fill.level, ServiceLevel::Dram);
+        assert_eq!(h.horizon(), 1_000 + fill.latency);
+        // A later fill on another channel moves the horizon with it.
+        let other = h.access(PuKind::Cpu, 0x1000_0040, false, 50_000);
+        assert_eq!(other.level, ServiceLevel::Dram);
+        assert_eq!(h.horizon(), 50_000 + other.latency);
+
+        // An LLC hit long after both fills touches no DRAM: only the shared
+        // NoC bus can hold a reservation past it, and the ring holds none.
+        let llc_hit_horizon = |topology| {
+            let mut cfg = SystemConfig::baseline();
+            cfg.noc.topology = topology;
+            let mut h = MemoryHierarchy::new(&cfg);
+            h.access(PuKind::Cpu, 0x9000, false, 0);
+            let hit = h.access(PuKind::Gpu, 0x9000, false, 10_000_000);
+            assert_eq!(hit.level, ServiceLevel::Llc);
+            h.horizon()
+        };
+        assert!(llc_hit_horizon(NocTopology::Bus) > 10_000_000);
+        assert!(llc_hit_horizon(NocTopology::Ring) < 10_000_000);
     }
 
     #[test]

@@ -95,5 +95,5 @@ pub use obs::{
     MAX_TIMELINE_SAMPLES,
 };
 pub use stats::{DerivedStats, RunReport};
-pub use system::System;
+pub use system::{ComputeProfile, System};
 pub use tlb::{Tlb, TlbStats};

@@ -92,6 +92,13 @@ impl Interconnect {
         ClockDomain::CPU.cycles_to_ticks(hops * self.hop_cycles)
     }
 
+    /// The tick until which the shared bus is reserved (never in the
+    /// future for the ring and crossbar, which reserve nothing).
+    #[must_use]
+    pub fn horizon(&self) -> Tick {
+        self.bus_free_at
+    }
+
     /// Performs a one-way traversal starting at `now`, including medium
     /// contention for the bus topology. Returns the latency in ticks.
     pub fn traverse(&mut self, pu: PuKind, tile: u32, now: Tick) -> Tick {

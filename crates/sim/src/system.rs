@@ -15,14 +15,14 @@
 
 use crate::clock::Tick;
 use crate::config::SystemConfig;
-use crate::cpu::CpuCore;
+use crate::cpu::{CpuCore, CpuStats};
 use crate::exec::ExecMode;
 use crate::fabric::{CommAction, CommCosts, CommModel};
-use crate::gpu::GpuCore;
-use crate::hierarchy::MemoryHierarchy;
-use crate::obs::SimObserver;
+use crate::gpu::{GpuCore, GpuStats};
+use crate::hierarchy::{HierarchyStats, MemoryHierarchy};
+use crate::obs::{NullObserver, SimObserver};
 use crate::stats::RunReport;
-use hetmem_trace::{Inst, Phase, PhasedTrace, PuKind};
+use hetmem_trace::{Inst, Phase, PhaseSegment, PhasedTrace, PuKind};
 
 /// A complete simulated heterogeneous system.
 #[derive(Debug)]
@@ -33,6 +33,7 @@ pub struct System {
     cpu: CpuCore,
     gpu: GpuCore,
     hierarchy: MemoryHierarchy,
+    profile: ComputeProfile,
 }
 
 impl System {
@@ -62,6 +63,7 @@ impl System {
             cpu: CpuCore::new(&config.cpu, costs),
             gpu: GpuCore::new(&config.gpu, costs),
             hierarchy: MemoryHierarchy::with_llc_locality(config, llc_locality),
+            profile: ComputeProfile::default(),
         }
     }
 
@@ -101,6 +103,8 @@ impl System {
         self.cpu.reset();
         self.gpu.reset();
         self.hierarchy.reset();
+        self.profile.spans.clear();
+        self.profile.replayable = false;
     }
 
     /// Read access to the memory hierarchy (for inspection in tests and
@@ -136,6 +140,9 @@ impl System {
     /// windows with functionally-warmed skips whose cost is extrapolated
     /// from the measured ticks-per-instruction; its microarchitectural
     /// counters cover only the detailed windows.
+    ///
+    /// Every run also records its [`ComputeProfile`], readable afterwards
+    /// through [`System::compute_profile`].
     pub fn execute_with_mode<O: SimObserver>(
         &mut self,
         trace: &PhasedTrace,
@@ -143,231 +150,356 @@ impl System {
         obs: &mut O,
         mode: ExecMode,
     ) -> RunReport {
-        let mut now: Tick = 0;
-        let mut seq_ticks: Tick = 0;
-        let mut par_ticks: Tick = 0;
-        let mut comm_ticks: Tick = 0;
-        // Ticks crossed inside granted wake windows (or extrapolated skips)
-        // rather than under per-step global arbitration.
-        let mut ff_ticks: Tick = 0;
-        // Completion time of outstanding asynchronous transfers the next
-        // parallel segment's GPU work must wait for.
-        let mut dma_ready: Tick = 0;
-
-        for (index, segment) in trace.segments().iter().enumerate() {
-            let seg_start = now;
-            obs.on_phase_start(index, segment.phase(), now);
-            match segment.phase() {
-                Phase::Sequential => {
-                    let insts = segment.stream(PuKind::Cpu).as_slice();
-                    let end = match mode {
-                        ExecMode::Sampled {
-                            warm_interval,
-                            detail_window,
-                        } => {
-                            let (end, skipped) = sampled_cpu_stream(
-                                &mut self.cpu,
-                                &mut self.hierarchy,
-                                insts,
-                                now,
-                                warm_interval,
-                                detail_window,
-                                obs,
-                            );
-                            ff_ticks += skipped;
-                            end
-                        }
-                        ExecMode::Accurate | ExecMode::EventDriven => {
-                            let end = self
-                                .cpu
-                                .begin(insts, now)
-                                .run_to_end_observed(&mut self.hierarchy, obs);
-                            if mode == ExecMode::EventDriven {
-                                // Every other component is parked past the
-                                // segment: the wheel grants the CPU one wake
-                                // window spanning it.
-                                ff_ticks += end - now;
-                                obs.on_fast_forward(end - now, end);
-                            }
-                            end
-                        }
-                    };
-                    seq_ticks += end - now;
-                    now = end;
-                }
-                Phase::Parallel => {
-                    let cpu_insts = segment.stream(PuKind::Cpu).as_slice();
-                    let gpu_insts = segment.stream(PuKind::Gpu).as_slice();
-                    // Asynchronous copies stream their data during kernel
-                    // execution (GMAC's on-demand/rolling transfer): both
-                    // cores start immediately, and only the portion of the
-                    // transfer that outlives the computation is charged to
-                    // communication below.
-                    let compute_end = match mode {
-                        ExecMode::Accurate => interleaved_parallel(
-                            &mut self.cpu,
-                            &mut self.gpu,
-                            &mut self.hierarchy,
-                            cpu_insts,
-                            gpu_insts,
-                            now,
-                            obs,
-                        ),
-                        ExecMode::EventDriven => {
-                            // Event wheel: the core owed the next step runs
-                            // batched up to the peer's frozen clock (its
-                            // registered next-wake tick), instead of being
-                            // re-arbitrated every instruction. The CPU owns
-                            // ties, so its window is inclusive and the GPU's
-                            // exclusive — the step sequence is exactly the
-                            // accurate loop's.
-                            let mut cpu_run = self.cpu.begin(cpu_insts, now);
-                            let mut gpu_run = self.gpu.begin(gpu_insts, now);
-                            loop {
-                                match (cpu_run.done(), gpu_run.done()) {
-                                    (true, true) => break,
-                                    (false, true) => {
-                                        let from = cpu_run.now();
-                                        cpu_run.run_while_observed(
-                                            &mut self.hierarchy,
-                                            obs,
-                                            Tick::MAX,
-                                        );
-                                        let advance = cpu_run.now().saturating_sub(from);
-                                        ff_ticks += advance;
-                                        obs.on_fast_forward(advance, cpu_run.now());
-                                    }
-                                    (true, false) => {
-                                        let from = gpu_run.now();
-                                        gpu_run.run_while_observed(
-                                            &mut self.hierarchy,
-                                            obs,
-                                            Tick::MAX,
-                                        );
-                                        let advance = gpu_run.now().saturating_sub(from);
-                                        ff_ticks += advance;
-                                        obs.on_fast_forward(advance, gpu_run.now());
-                                    }
-                                    (false, false) => {
-                                        if cpu_run.now() <= gpu_run.now() {
-                                            let from = cpu_run.now();
-                                            cpu_run.run_while_observed(
-                                                &mut self.hierarchy,
-                                                obs,
-                                                gpu_run.now(),
-                                            );
-                                            let advance = cpu_run.now().saturating_sub(from);
-                                            ff_ticks += advance;
-                                            obs.on_fast_forward(advance, cpu_run.now());
-                                        } else {
-                                            let from = gpu_run.now();
-                                            gpu_run.run_while_observed(
-                                                &mut self.hierarchy,
-                                                obs,
-                                                cpu_run.now(),
-                                            );
-                                            let advance = gpu_run.now().saturating_sub(from);
-                                            ff_ticks += advance;
-                                            obs.on_fast_forward(advance, gpu_run.now());
-                                        }
-                                    }
-                                }
-                            }
-                            cpu_run.finish_tick().max(gpu_run.finish_tick()).max(now)
-                        }
-                        ExecMode::Sampled {
-                            warm_interval,
-                            detail_window,
-                        } => {
-                            // Paired sampling: detailed windows interleave
-                            // both cores by global time (full contention
-                            // fidelity), then both streams skip together so
-                            // the clocks never diverge. A phase where both
-                            // streams fit one window is exact.
-                            let (end, skipped) = sampled_parallel(
-                                &mut self.cpu,
-                                &mut self.gpu,
-                                &mut self.hierarchy,
-                                cpu_insts,
-                                gpu_insts,
-                                now,
-                                warm_interval,
-                                detail_window,
-                                obs,
-                            );
-                            ff_ticks += skipped;
-                            end
-                        }
-                    };
-                    par_ticks += compute_end - now;
-                    // A background transfer that outlives the computation
-                    // delays the segment's completion; that tail is
-                    // communication time.
-                    if dma_ready > compute_end {
-                        comm_ticks += dma_ready - compute_end;
-                        now = dma_ready;
-                    } else {
-                        now = compute_end;
-                    }
-                    dma_ready = 0;
-                }
+        let segments = trace.segments();
+        let (cpu, gpu, hierarchy) = (&mut self.cpu, &mut self.gpu, &mut self.hierarchy);
+        let profile = &mut self.profile;
+        profile.spans.clear();
+        profile.replayable = true;
+        let ticks = walk_segments(trace, &self.costs, comm, obs, |index, segment, now, obs| {
+            let span = match segment.phase() {
+                Phase::Sequential => sequential_segment(cpu, hierarchy, segment, now, mode, obs),
+                Phase::Parallel => parallel_segment(cpu, gpu, hierarchy, segment, now, mode, obs),
                 Phase::Communication => {
-                    for inst in segment.stream(PuKind::Cpu).iter() {
-                        match inst {
-                            Inst::Comm(event) => {
-                                // Classify before planning: `plan` may mutate
-                                // first-touch state the class depends on.
-                                let class = comm.cost_class(event);
-                                let action = comm.plan(event);
-                                obs.on_comm(event, &action, class, now);
-                                match action {
-                                    CommAction::Elide => {}
-                                    CommAction::Synchronous { ticks } => {
-                                        comm_ticks += ticks;
-                                        now += ticks;
-                                    }
-                                    CommAction::Asynchronous { setup, transfer } => {
-                                        comm_ticks += setup;
-                                        now += setup;
-                                        dma_ready = dma_ready.max(now + transfer);
-                                    }
+                    unreachable!("the segment walk runs communication segments itself")
+                }
+            };
+            // Another design point can start the next compute segment at a
+            // different tick only after a communication segment or an
+            // asynchronous-copy tail (which only a parallel segment pays).
+            // Replay is exact only if nothing this segment reserved is
+            // still pending at such a point.
+            let shift_follows = segments.get(index + 1).is_some_and(|next| {
+                next.phase() == Phase::Communication || segment.phase() == Phase::Parallel
+            });
+            if shift_follows && hierarchy.horizon() > now + span.ticks {
+                profile.replayable = false;
+            }
+            profile.spans.push(span);
+            span
+        });
+        profile.hierarchy = self.hierarchy.stats();
+        profile.cpu = self.cpu.stats();
+        profile.gpu = self.gpu.stats();
+        ticks.report(trace, profile)
+    }
+
+    /// The compute profile of the last [`System::execute_with_mode`] run.
+    #[must_use]
+    pub fn compute_profile(&self) -> &ComputeProfile {
+        &self.profile
+    }
+}
+
+/// What one compute (sequential or parallel) segment took: its duration,
+/// and how much of it was crossed in wake windows or extrapolated skips.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ComputeSpan {
+    ticks: Tick,
+    fast_forwarded: Tick,
+}
+
+/// The compute half of one run, recorded by [`System::execute_with_mode`]:
+/// each compute segment's duration and fast-forwarded ticks, the final
+/// counters, and whether the run may be replayed.
+///
+/// Communication segments never touch the cores or the memory hierarchy:
+/// [`CommModel::plan`] only chooses an action, and their specials cost
+/// fixed ticks. Two runs of one trace on one configuration and mode
+/// therefore differ only in where communication places each compute
+/// segment in time. The memory hierarchy's only time-stateful parts are
+/// bank, DRAM-bus and NoC-bus reservations, and everything else is
+/// relative to a segment's start. So when no reservation outlives a
+/// compute segment after which another design point could start the next
+/// one at a different tick ([`MemoryHierarchy::horizon`]), each compute
+/// segment's result is independent of its start tick, and
+/// [`ComputeProfile::replay`] reproduces the full simulation under any
+/// communication model exactly.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ComputeProfile {
+    spans: Vec<ComputeSpan>,
+    hierarchy: HierarchyStats,
+    cpu: CpuStats,
+    gpu: GpuStats,
+    replayable: bool,
+}
+
+impl ComputeProfile {
+    /// Whether every compute segment ended with the memory system idle
+    /// wherever a communication segment or copy tail could follow, so that
+    /// [`ComputeProfile::replay`] is exact.
+    #[must_use]
+    pub fn replayable(&self) -> bool {
+        self.replayable
+    }
+
+    /// The report a full simulation of `trace` under `comm` would give,
+    /// running only the communication segments: compute durations and
+    /// counters come from the profile. `trace`, the configuration and the
+    /// execution mode must be those the profile was recorded with, and
+    /// `costs` those of the engine that recorded it. Arms no engine and
+    /// does not re-validate the trace.
+    ///
+    /// Returns `None` when the profile is not [replayable](Self::replayable).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace` has more compute segments than the recorded run.
+    #[must_use]
+    pub fn replay(
+        &self,
+        trace: &PhasedTrace,
+        costs: &CommCosts,
+        comm: &mut dyn CommModel,
+    ) -> Option<RunReport> {
+        if !self.replayable {
+            return None;
+        }
+        let mut spans = self.spans.iter();
+        let ticks = walk_segments(trace, costs, comm, &mut NullObserver, |_, _, _, _| {
+            *spans.next().expect("profile recorded from this trace")
+        });
+        Some(ticks.report(trace, self))
+    }
+}
+
+/// Phase totals of one segment walk.
+#[derive(Default)]
+struct PhaseTicks {
+    sequential: Tick,
+    parallel: Tick,
+    communication: Tick,
+    fast_forwarded: Tick,
+}
+
+impl PhaseTicks {
+    fn report(self, trace: &PhasedTrace, counters: &ComputeProfile) -> RunReport {
+        RunReport {
+            kernel: trace.name().to_owned(),
+            sequential_ticks: self.sequential,
+            parallel_ticks: self.parallel,
+            communication_ticks: self.communication,
+            fast_forwarded_ticks: self.fast_forwarded,
+            hierarchy: counters.hierarchy,
+            cpu: counters.cpu,
+            gpu: counters.gpu,
+        }
+    }
+}
+
+/// The phase-by-phase walk shared by simulation and replay. It owns the
+/// phase accounting, the observer's phase hooks, the asynchronous-copy
+/// bookkeeping, and the communication segments, which it runs through
+/// `comm`. `compute` runs (or recalls) the compute segment at an index,
+/// started at a tick.
+fn walk_segments<O: SimObserver>(
+    trace: &PhasedTrace,
+    costs: &CommCosts,
+    comm: &mut dyn CommModel,
+    obs: &mut O,
+    mut compute: impl FnMut(usize, &PhaseSegment, Tick, &mut O) -> ComputeSpan,
+) -> PhaseTicks {
+    let mut ticks = PhaseTicks::default();
+    let mut now: Tick = 0;
+    // Completion time of outstanding asynchronous transfers the next
+    // parallel segment's GPU work must wait for.
+    let mut dma_ready: Tick = 0;
+
+    for (index, segment) in trace.segments().iter().enumerate() {
+        let seg_start = now;
+        obs.on_phase_start(index, segment.phase(), now);
+        match segment.phase() {
+            Phase::Sequential => {
+                let span = compute(index, segment, now, obs);
+                ticks.sequential += span.ticks;
+                ticks.fast_forwarded += span.fast_forwarded;
+                now += span.ticks;
+            }
+            Phase::Parallel => {
+                // Asynchronous copies stream their data during kernel
+                // execution (GMAC's on-demand/rolling transfer): both cores
+                // start immediately, and only the portion of the transfer
+                // that outlives the computation is charged to communication.
+                let span = compute(index, segment, now, obs);
+                ticks.parallel += span.ticks;
+                ticks.fast_forwarded += span.fast_forwarded;
+                let compute_end = now + span.ticks;
+                if dma_ready > compute_end {
+                    ticks.communication += dma_ready - compute_end;
+                    now = dma_ready;
+                } else {
+                    now = compute_end;
+                }
+                dma_ready = 0;
+            }
+            Phase::Communication => {
+                for inst in segment.stream(PuKind::Cpu).iter() {
+                    match inst {
+                        Inst::Comm(event) => {
+                            // Classify before planning: `plan` may mutate
+                            // first-touch state the class depends on.
+                            let class = comm.cost_class(event);
+                            let action = comm.plan(event);
+                            obs.on_comm(event, &action, class, now);
+                            match action {
+                                CommAction::Elide => {}
+                                CommAction::Synchronous { ticks: t } => {
+                                    ticks.communication += t;
+                                    now += t;
+                                }
+                                CommAction::Asynchronous { setup, transfer } => {
+                                    ticks.communication += setup;
+                                    now += setup;
+                                    dma_ready = dma_ready.max(now + transfer);
                                 }
                             }
-                            Inst::Special(op) => {
-                                let ticks = self.costs.special_ticks(op);
-                                obs.on_special(PuKind::Cpu, op, ticks, now);
-                                comm_ticks += ticks;
-                                now += ticks;
-                            }
-                            other => unreachable!(
-                                "validated communication segments contain only comm/special \
-                                 instructions, found {other:?}"
-                            ),
+                        }
+                        Inst::Special(op) => {
+                            let t = costs.special_ticks(op);
+                            obs.on_special(PuKind::Cpu, op, t, now);
+                            ticks.communication += t;
+                            now += t;
+                        }
+                        other => unreachable!(
+                            "validated communication segments contain only comm/special \
+                             instructions, found {other:?}"
+                        ),
+                    }
+                }
+            }
+        }
+        obs.on_phase_end(index, segment.phase(), seg_start, now);
+    }
+
+    // Any asynchronous transfer still in flight must complete before the
+    // program can observe its data.
+    if dma_ready > now {
+        ticks.communication += dma_ready - now;
+        now = dma_ready;
+    }
+    obs.on_run_end(now);
+    ticks
+}
+
+/// Runs a sequential segment on the CPU alone under `mode`.
+fn sequential_segment<O: SimObserver>(
+    cpu: &mut CpuCore,
+    hier: &mut MemoryHierarchy,
+    segment: &PhaseSegment,
+    now: Tick,
+    mode: ExecMode,
+    obs: &mut O,
+) -> ComputeSpan {
+    let insts = segment.stream(PuKind::Cpu).as_slice();
+    let (end, fast_forwarded) = match mode {
+        ExecMode::Sampled {
+            warm_interval,
+            detail_window,
+        } => sampled_cpu_stream(cpu, hier, insts, now, warm_interval, detail_window, obs),
+        ExecMode::Accurate => (cpu.begin(insts, now).run_to_end_observed(hier, obs), 0),
+        ExecMode::EventDriven => {
+            // Every other component is parked past the segment: the wheel
+            // grants the CPU one wake window spanning it.
+            let end = cpu.begin(insts, now).run_to_end_observed(hier, obs);
+            obs.on_fast_forward(end - now, end);
+            (end, end - now)
+        }
+    };
+    ComputeSpan {
+        ticks: end - now,
+        fast_forwarded,
+    }
+}
+
+/// Runs a parallel segment on both cores under `mode`; the segment ends
+/// when the slower PU finishes.
+fn parallel_segment<O: SimObserver>(
+    cpu: &mut CpuCore,
+    gpu: &mut GpuCore,
+    hier: &mut MemoryHierarchy,
+    segment: &PhaseSegment,
+    now: Tick,
+    mode: ExecMode,
+    obs: &mut O,
+) -> ComputeSpan {
+    let cpu_insts = segment.stream(PuKind::Cpu).as_slice();
+    let gpu_insts = segment.stream(PuKind::Gpu).as_slice();
+    let (end, fast_forwarded) = match mode {
+        ExecMode::Accurate => (
+            interleaved_parallel(cpu, gpu, hier, cpu_insts, gpu_insts, now, obs),
+            0,
+        ),
+        ExecMode::EventDriven => {
+            // Event wheel: the core owed the next step runs batched up to
+            // the peer's frozen clock (its registered next-wake tick),
+            // instead of being re-arbitrated every instruction. The CPU owns
+            // ties, so its window is inclusive and the GPU's exclusive — the
+            // step sequence is exactly the accurate loop's.
+            let mut ff: Tick = 0;
+            let mut cpu_run = cpu.begin(cpu_insts, now);
+            let mut gpu_run = gpu.begin(gpu_insts, now);
+            loop {
+                match (cpu_run.done(), gpu_run.done()) {
+                    (true, true) => break,
+                    (false, true) => {
+                        let from = cpu_run.now();
+                        cpu_run.run_while_observed(hier, obs, Tick::MAX);
+                        let advance = cpu_run.now().saturating_sub(from);
+                        ff += advance;
+                        obs.on_fast_forward(advance, cpu_run.now());
+                    }
+                    (true, false) => {
+                        let from = gpu_run.now();
+                        gpu_run.run_while_observed(hier, obs, Tick::MAX);
+                        let advance = gpu_run.now().saturating_sub(from);
+                        ff += advance;
+                        obs.on_fast_forward(advance, gpu_run.now());
+                    }
+                    (false, false) => {
+                        if cpu_run.now() <= gpu_run.now() {
+                            let from = cpu_run.now();
+                            cpu_run.run_while_observed(hier, obs, gpu_run.now());
+                            let advance = cpu_run.now().saturating_sub(from);
+                            ff += advance;
+                            obs.on_fast_forward(advance, cpu_run.now());
+                        } else {
+                            let from = gpu_run.now();
+                            gpu_run.run_while_observed(hier, obs, cpu_run.now());
+                            let advance = gpu_run.now().saturating_sub(from);
+                            ff += advance;
+                            obs.on_fast_forward(advance, gpu_run.now());
                         }
                     }
                 }
             }
-            obs.on_phase_end(index, segment.phase(), seg_start, now);
+            (
+                cpu_run.finish_tick().max(gpu_run.finish_tick()).max(now),
+                ff,
+            )
         }
-
-        // Any asynchronous transfer still in flight must complete before the
-        // program can observe its data.
-        if dma_ready > now {
-            comm_ticks += dma_ready - now;
-            now = dma_ready;
+        ExecMode::Sampled {
+            warm_interval,
+            detail_window,
+        } => {
+            // Paired sampling: detailed windows interleave both cores by
+            // global time (full contention fidelity), then both streams
+            // skip together so the clocks never diverge. A phase where both
+            // streams fit one window is exact.
+            sampled_parallel(
+                cpu,
+                gpu,
+                hier,
+                cpu_insts,
+                gpu_insts,
+                now,
+                warm_interval,
+                detail_window,
+                obs,
+            )
         }
-        obs.on_run_end(now);
-
-        RunReport {
-            kernel: trace.name().to_owned(),
-            sequential_ticks: seq_ticks,
-            parallel_ticks: par_ticks,
-            communication_ticks: comm_ticks,
-            fast_forwarded_ticks: ff_ticks,
-            hierarchy: self.hierarchy.stats(),
-            cpu: self.cpu.stats(),
-            gpu: self.gpu.stats(),
-        }
+    };
+    ComputeSpan {
+        ticks: end - now,
+        fast_forwarded,
     }
 }
 

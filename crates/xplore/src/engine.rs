@@ -15,15 +15,17 @@ use crate::spec::{Job, JobKind, SweepSpec};
 use hetmem_core::experiment::{CaseStudyRun, ExperimentConfig, SpaceRun};
 use hetmem_core::IdealSpaceComm;
 use hetmem_sim::{
-    ExecMode, IntervalProfiler, NullObserver, SimError, SimObserver, Simulation, System,
+    ComputeProfile, ExecMode, IntervalProfiler, NullObserver, RunReport, SimError, SimObserver,
+    Simulation, System,
 };
 use hetmem_trace::kernels::KernelParams;
 use hetmem_trace::PhasedTrace;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Execution knobs for a sweep.
@@ -171,6 +173,11 @@ pub struct SweepStats {
     pub cache_hits: u64,
     /// Jobs simulated live.
     pub cache_misses: u64,
+    /// Cache misses on this node that ran a full simulation.
+    pub simulated: u64,
+    /// Cache misses on this node answered by replaying another job's
+    /// compute profile (see [`run_jobs`]).
+    pub replayed: u64,
     /// Wall-clock duration of the whole sweep.
     pub wall: Duration,
 }
@@ -179,12 +186,14 @@ impl std::fmt::Display for SweepStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} jobs on {} workers in {:.2} s ({} cache hits, {} misses)",
+            "{} jobs on {} workers in {:.2} s ({} cache hits, {} misses, {} simulated, {} replayed)",
             self.jobs,
             self.workers,
             self.wall.as_secs_f64(),
             self.cache_hits,
-            self.cache_misses
+            self.cache_misses,
+            self.simulated,
+            self.replayed
         )
     }
 }
@@ -257,6 +266,9 @@ pub fn content_key(job: &Job, config: &ExperimentConfig) -> String {
 /// requested timeline or a non-accurate mode changes the record's content
 /// and therefore addresses a separate entry. Sampled geometry is part of the
 /// mode tag, so different window shapes never alias either.
+///
+/// Batches key many jobs under one configuration; [`ContentKeys`] formats
+/// the shared part once for all of them.
 #[must_use]
 pub fn content_key_with(
     job: &Job,
@@ -264,21 +276,44 @@ pub fn content_key_with(
     timeline_interval: Option<u64>,
     mode: ExecMode,
 ) -> String {
-    use std::fmt::Write as _;
-    let mut key = format!(
-        "hetmem-xplore v{} | {} | system={:?} | costs={:?}",
-        env!("CARGO_PKG_VERSION"),
-        job.identity(),
-        config.system,
-        config.costs,
-    );
-    if let Some(interval) = timeline_interval {
-        let _ = write!(key, " | timeline={interval}");
+    ContentKeys::new(config, timeline_interval, mode).key(job)
+}
+
+/// The content keys of one batch: everything but the job coordinates —
+/// the Debug-formatted hardware and cost configuration, the timeline
+/// request and the mode tag — formatted once, so keying a job costs one
+/// short format instead of a configuration dump. Each key is
+/// byte-identical to [`content_key_with`]'s.
+#[derive(Clone, Debug)]
+pub struct ContentKeys {
+    tail: String,
+}
+
+impl ContentKeys {
+    /// Formats the batch-wide part of every key.
+    #[must_use]
+    pub fn new(config: &ExperimentConfig, timeline_interval: Option<u64>, mode: ExecMode) -> Self {
+        use std::fmt::Write as _;
+        let mut tail = format!(" | system={:?} | costs={:?}", config.system, config.costs);
+        if let Some(interval) = timeline_interval {
+            let _ = write!(tail, " | timeline={interval}");
+        }
+        if let Some(tag) = mode.cache_tag() {
+            let _ = write!(tail, " | mode={tag}");
+        }
+        ContentKeys { tail }
     }
-    if let Some(tag) = mode.cache_tag() {
-        let _ = write!(key, " | mode={tag}");
+
+    /// The content key of `job`.
+    #[must_use]
+    pub fn key(&self, job: &Job) -> String {
+        format!(
+            "hetmem-xplore v{} | {}{}",
+            env!("CARGO_PKG_VERSION"),
+            job.identity(),
+            self.tail
+        )
     }
-    key
 }
 
 /// Simulates one job on a pre-generated trace.
@@ -312,6 +347,20 @@ pub fn execute_job_observed<O: SimObserver>(
     observer: O,
     mode: ExecMode,
 ) -> Result<(SweepRecord, O), SimError> {
+    simulate_job(job, config, trace, observer, mode, false)
+        .map(|(record, observer, _)| (record, observer))
+}
+
+/// [`execute_job_observed`], also handing back the run's compute profile
+/// when `want_profile` is set and the profile is replayable.
+fn simulate_job<O: SimObserver>(
+    job: &Job,
+    config: &ExperimentConfig,
+    trace: &PhasedTrace,
+    observer: O,
+    mode: ExecMode,
+    want_profile: bool,
+) -> Result<(SweepRecord, O, Option<Arc<ComputeProfile>>), SimError> {
     let builder = Simulation::builder()
         .config(config.system)
         .costs(config.costs)
@@ -326,7 +375,41 @@ pub fn execute_job_observed<O: SimObserver>(
     }
     .build()?;
     let report = sim.run(trace)?;
-    let record = SweepRecord {
+    let profile = sim.system().compute_profile();
+    let profile = (want_profile && profile.replayable()).then(|| Arc::new(profile.clone()));
+    let (system, observer) = sim.into_parts();
+    return_pooled_engine(system);
+    Ok((job_record(job, mode, report), observer, profile))
+}
+
+/// The report a full simulation of `job` would give, from the compute
+/// profile of another job of the same (kernel, scale) in the same batch:
+/// only the communication segments run, through `job`'s own model.
+fn replay_job(
+    job: &Job,
+    config: &ExperimentConfig,
+    trace: &PhasedTrace,
+    profile: &ComputeProfile,
+    mode: ExecMode,
+) -> SweepRecord {
+    let costs = &config.costs;
+    let report = match job.kind {
+        JobKind::CaseStudy { system } => {
+            profile.replay(trace, costs, &mut system.comm_model(config.costs))
+        }
+        JobKind::AddressSpace { space } => {
+            profile.replay(trace, costs, &mut IdealSpaceComm::new(space, config.costs))
+        }
+    };
+    job_record(
+        job,
+        mode,
+        report.expect("the memo holds only replayable profiles"),
+    )
+}
+
+fn job_record(job: &Job, mode: ExecMode, report: RunReport) -> SweepRecord {
+    SweepRecord {
         id: job.id,
         kind: job.kind_name().to_owned(),
         kernel: job.kernel.name().to_owned(),
@@ -336,10 +419,7 @@ pub fn execute_job_observed<O: SimObserver>(
         mode,
         report,
         timeline: None,
-    };
-    let (system, observer) = sim.into_parts();
-    return_pooled_engine(system);
-    Ok((record, observer))
+    }
 }
 
 /// Engines this worker thread has finished with, kept for recycling.
@@ -373,6 +453,135 @@ fn return_pooled_engine(system: System) {
     });
 }
 
+/// The compute profiles of one [`run_jobs`] batch, one per (kernel, scale)
+/// group. Within a batch the configuration, costs and mode are fixed, so
+/// the jobs of a group differ only in their communication model: the
+/// group's leader simulates in full and leaves its profile here, and the
+/// others replay it. Dropped when the batch returns.
+#[derive(Default)]
+struct ComputeMemo {
+    groups: Mutex<HashMap<(&'static str, u32), Arc<Group>>>,
+    simulated: AtomicU64,
+    replayed: AtomicU64,
+}
+
+/// One (kernel, scale) group's slot: `None` until a job of the group has
+/// finished, then the profile it left, if that was replayable.
+#[derive(Default)]
+struct Group {
+    profile: Mutex<Option<Option<Arc<ComputeProfile>>>>,
+    settled: Condvar,
+}
+
+impl Group {
+    fn wait(&self) -> Option<Arc<ComputeProfile>> {
+        let slot = self.profile.lock().unwrap_or_else(PoisonError::into_inner);
+        let slot = self
+            .settled
+            .wait_while(slot, |slot| slot.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        slot.clone().flatten()
+    }
+
+    /// Settles the slot; a profile replaces an earlier `None`, never the
+    /// other way round.
+    fn publish(&self, profile: Option<Arc<ComputeProfile>>) {
+        let mut slot = self.profile.lock().unwrap_or_else(PoisonError::into_inner);
+        if profile.is_some() || slot.is_none() {
+            *slot = Some(profile);
+            self.settled.notify_all();
+        }
+    }
+
+    fn is_settled(&self) -> bool {
+        self.profile
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_some()
+    }
+}
+
+/// Settles a group when a job of it ends, however it ends, so no job ever
+/// waits on a leader that has stopped.
+struct SettleOnExit<'a>(&'a Group);
+
+impl Drop for SettleOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.publish(None);
+    }
+}
+
+/// How one job of a batch gets its record on a cache miss.
+enum Role {
+    /// Simulate in full and leave the compute profile for the group.
+    Lead(Arc<Group>),
+    /// Replay the group's profile; simulate if it has none.
+    Follow(Arc<Group>),
+    /// Simulate in full with an [`IntervalProfiler`] of this window: an
+    /// observed run reports more than its record, so it is never replayed.
+    Observed(u64),
+}
+
+impl ComputeMemo {
+    /// `indices` in execution order, leaders first, each with its role.
+    /// Observed batches keep their order and simulate every job.
+    fn schedule(
+        &self,
+        jobs: &[Job],
+        indices: &[usize],
+        timeline_interval: Option<u64>,
+    ) -> Vec<(usize, Role)> {
+        if let Some(interval) = timeline_interval {
+            return indices
+                .iter()
+                .map(|&index| (index, Role::Observed(interval)))
+                .collect();
+        }
+        let mut groups = self.groups.lock().unwrap_or_else(PoisonError::into_inner);
+        // A group left unsettled by an earlier, cancelled pass has no
+        // leader running: start it afresh.
+        groups.retain(|_, group| group.is_settled());
+        let (mut order, mut followers) = (Vec::new(), Vec::new());
+        for &index in indices {
+            let job = &jobs[index];
+            match groups.entry((job.kernel.name(), job.scale)) {
+                Entry::Occupied(group) => {
+                    followers.push((index, Role::Follow(Arc::clone(group.get()))));
+                }
+                Entry::Vacant(slot) => {
+                    order.push((index, Role::Lead(Arc::clone(slot.insert(Arc::default())))));
+                }
+            }
+        }
+        order.extend(followers);
+        order
+    }
+
+    /// A cache-missed grouped job: a follower replays the group's profile
+    /// once one exists; otherwise the job simulates in full and offers its
+    /// own profile to the group.
+    fn run(
+        &self,
+        job: &Job,
+        config: &ExperimentConfig,
+        trace: &PhasedTrace,
+        mode: ExecMode,
+        group: &Group,
+        lead: bool,
+    ) -> Result<SweepRecord, SimError> {
+        if !lead {
+            if let Some(profile) = group.wait() {
+                self.replayed.fetch_add(1, Ordering::Relaxed);
+                return Ok(replay_job(job, config, trace, &profile, mode));
+            }
+        }
+        self.simulated.fetch_add(1, Ordering::Relaxed);
+        let (record, _, profile) = simulate_job(job, config, trace, NullObserver, mode, true)?;
+        group.publish(profile);
+        Ok(record)
+    }
+}
+
 /// Expands `spec` and runs every job. See [`run_jobs`].
 ///
 /// # Errors
@@ -389,6 +598,21 @@ pub fn run_sweep(
 
 /// Runs `jobs` on the worker pool. The returned records are sorted by job
 /// ordinal and are bit-identical for any worker count and any cache state.
+///
+/// Within one call the configuration, costs and mode are fixed, and design
+/// points differ only in how communication is done, which never touches
+/// the cores or the memory hierarchy. So each (kernel, scale) group is
+/// simulated once: its first job (the leader) runs in full and records its
+/// [`ComputeProfile`]; the group's other cache misses wait for it and
+/// replay only their communication segments through their own model. The
+/// replay is exact, not an estimate: a profile is used only if the memory
+/// system was idle wherever communication could shift the timeline (see
+/// DESIGN.md §2.14). Leaders run first, so a waiting job always waits on
+/// one already running. Timeline sweeps and non-replayable profiles
+/// simulate every job, and a failed or cache-hit leader leaves its group
+/// to simulate as well. The memo is dropped when the call returns;
+/// [`SweepStats::simulated`] and [`SweepStats::replayed`] count the two
+/// paths.
 ///
 /// # Errors
 ///
@@ -421,13 +645,22 @@ pub fn run_jobs(
     .min(jobs.len().max(1));
 
     let traces = TraceStore::global();
-    let run_one = |job: &Job| -> Result<SweepRecord, SimError> {
+    // The content key Debug-formats the full hardware and cost
+    // configuration: format that part once per batch, and skip keys
+    // entirely on uncached sweeps.
+    let keys = cache
+        .as_ref()
+        .map(|_| ContentKeys::new(config, opts.timeline_interval, opts.mode));
+    let memo = ComputeMemo::default();
+    let run_one = |job: &Job, role: &Role| -> Result<SweepRecord, SimError> {
+        // Whatever way this job ends — cache hit, error, panic — its group
+        // must not be left waiting on it.
+        let _settle = match role {
+            Role::Lead(group) | Role::Follow(group) => Some(SettleOnExit(group)),
+            Role::Observed(_) => None,
+        };
         let cache = cache.as_ref();
-        // The content key Debug-formats the full hardware and cost
-        // configuration — skip it entirely on uncached sweeps, where it
-        // would otherwise rival the simulation itself on small per-job
-        // traces.
-        let key = cache.map(|_| content_key_with(job, config, opts.timeline_interval, opts.mode));
+        let key = keys.as_ref().map(|keys| keys.key(job));
         if let Some(mut cached) = cache.and_then(|c| c.get(key.as_deref().expect("keyed"))) {
             // Ordinals belong to this sweep, not the cache entry (a
             // differently-filtered sweep may have stored it).
@@ -435,20 +668,23 @@ pub fn run_jobs(
             return Ok(cached);
         }
         let trace = traces.get(job);
-        let result = match opts.timeline_interval {
-            Some(interval) => execute_job_observed(
-                job,
-                config,
-                &trace,
-                IntervalProfiler::new(interval),
-                opts.mode,
-            )
-            .map(|(mut record, profiler)| {
-                record.timeline = Some(profiler.summary());
-                record
-            }),
-            None => execute_job_observed(job, config, &trace, NullObserver, opts.mode)
-                .map(|(record, _)| record),
+        let result = match role {
+            Role::Lead(group) => memo.run(job, config, &trace, opts.mode, group, true),
+            Role::Follow(group) => memo.run(job, config, &trace, opts.mode, group, false),
+            Role::Observed(interval) => {
+                memo.simulated.fetch_add(1, Ordering::Relaxed);
+                execute_job_observed(
+                    job,
+                    config,
+                    &trace,
+                    IntervalProfiler::new(*interval),
+                    opts.mode,
+                )
+                .map(|(mut record, profiler)| {
+                    record.timeline = Some(profiler.summary());
+                    record
+                })
+            }
         };
         if let (Ok(record), Some(c)) = (&result, cache) {
             if let Err(e) = c.put(key.as_deref().expect("keyed"), record) {
@@ -477,7 +713,9 @@ pub fn run_jobs(
     };
 
     // Executes `indices` on up to `workers` local threads, handing each
-    // finished (index, record) pair to `sink` on the calling thread.
+    // finished (index, record) pair to `sink` on the calling thread. Group
+    // leaders are scheduled first, so every job that waits for a leader
+    // waits for one already running.
     // Single-worker batches (the service's per-shard path, benches, and
     // `--jobs 1`) run inline: no spawn, no channel, and — because the
     // engine pool is thread-local — recycled engines survive from one
@@ -485,31 +723,33 @@ pub fn run_jobs(
     let run_local =
         |indices: &[usize], sink: &mut dyn FnMut(usize, Result<SweepRecord, SimError>)| {
             let cancel = opts.cancel.as_deref();
-            if workers.min(indices.len().max(1)) <= 1 {
-                for &index in indices {
+            let schedule = memo.schedule(jobs, indices, opts.timeline_interval);
+            if workers.min(schedule.len().max(1)) <= 1 {
+                for (index, role) in &schedule {
                     if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                         break;
                     }
-                    sink(index, run_one(&jobs[index]));
+                    sink(*index, run_one(&jobs[*index], role));
                 }
                 return;
             }
             let cursor = AtomicUsize::new(0);
             let (tx, rx) = mpsc::channel::<(usize, Result<SweepRecord, SimError>)>();
             std::thread::scope(|scope| {
-                for _ in 0..workers.min(indices.len()) {
+                for _ in 0..workers.min(schedule.len()) {
                     let tx = tx.clone();
                     let cursor = &cursor;
+                    let schedule = &schedule;
                     let run_one = &run_one;
                     scope.spawn(move || loop {
                         if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                             break;
                         }
                         let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&index) = indices.get(slot) else {
+                        let Some((index, role)) = schedule.get(slot) else {
                             break;
                         };
-                        if tx.send((index, run_one(&jobs[index]))).is_err() {
+                        if tx.send((*index, run_one(&jobs[*index], role))).is_err() {
                             break;
                         }
                     });
@@ -639,6 +879,8 @@ pub fn run_jobs(
             workers,
             cache_hits,
             cache_misses,
+            simulated: memo.simulated.into_inner(),
+            replayed: memo.replayed.into_inner(),
             wall: start.elapsed(),
         },
     })
@@ -793,6 +1035,60 @@ mod tests {
         let observed = content_key_with(&jobs[0], &cfg(), Some(1_000_000), ExecMode::Accurate);
         assert_ne!(plain, observed);
         assert!(observed.contains("timeline=1000000"), "{observed}");
+    }
+
+    /// The key format every cache entry written so far is named by,
+    /// frozen here: batch keys must reproduce it byte for byte or every
+    /// existing disk cache goes cold.
+    fn stored_key_format(
+        job: &Job,
+        config: &ExperimentConfig,
+        timeline_interval: Option<u64>,
+        mode: ExecMode,
+    ) -> String {
+        let mut key = format!(
+            "hetmem-xplore v{} | {} | system={:?} | costs={:?}",
+            env!("CARGO_PKG_VERSION"),
+            job.identity(),
+            config.system,
+            config.costs,
+        );
+        if let Some(interval) = timeline_interval {
+            key.push_str(&format!(" | timeline={interval}"));
+        }
+        if let Some(tag) = mode.cache_tag() {
+            key.push_str(&format!(" | mode={tag}"));
+        }
+        key
+    }
+
+    #[test]
+    fn batch_keys_are_byte_identical_to_stored_keys() {
+        let jobs = SweepSpec::full(4).expand();
+        let mut tweaked = cfg();
+        tweaked.costs.api_acq_cycles += 1;
+        tweaked.system.dram.channels = 2;
+        let modes = [
+            ExecMode::Accurate,
+            ExecMode::EventDriven,
+            ExecMode::sampled_default(),
+            ExecMode::Sampled {
+                warm_interval: 4096,
+                detail_window: 128,
+            },
+        ];
+        for config in [cfg(), tweaked] {
+            for mode in modes {
+                for timeline in [None, Some(500_000)] {
+                    let keys = ContentKeys::new(&config, timeline, mode);
+                    for job in &jobs {
+                        let stored = stored_key_format(job, &config, timeline, mode);
+                        assert_eq!(keys.key(job), stored);
+                        assert_eq!(content_key_with(job, &config, timeline, mode), stored);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
